@@ -327,7 +327,9 @@ fn evict_coldest<K: Eq + Hash + Copy, V>(
 }
 
 /// A sharded, thread-safe concept-pair + context-vector cache with
-/// hit/miss accounting, optional capacity bounds, and byte accounting.
+/// optional capacity bounds and byte accounting. It counts no hits or
+/// misses itself, so on an unbounded cache a hit writes no shared atomic;
+/// per-worker [`TallyCache`] views do the counting.
 ///
 /// Implements [`SimilarityCache`], so a
 /// [`CombinedSimilarity`](semsim::CombinedSimilarity) scores straight
@@ -338,10 +340,6 @@ pub struct SharedCache {
     vectors: Table<VectorKey, Arc<SparseVector>>,
     budget: CacheBudget,
     counters: Counters,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    vector_hits: AtomicU64,
-    vector_misses: AtomicU64,
 }
 
 /// Bytes charged for one pair-score entry (key + slot + map overhead).
@@ -384,10 +382,6 @@ impl SharedCache {
             vectors: Table::new(budget.max_entries, vector_bytes, "vector"),
             budget,
             counters: Counters::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            vector_hits: AtomicU64::new(0),
-            vector_misses: AtomicU64::new(0),
         }
     }
 
@@ -429,38 +423,6 @@ impl SharedCache {
         }
         evicted
     }
-
-    /// Lookups that found a cached score.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that missed (each followed by a fresh computation).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, or 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
-    /// Vector-table lookups that found a cached context vector.
-    pub fn vector_hits(&self) -> u64 {
-        self.vector_hits.load(Ordering::Relaxed)
-    }
-
-    /// Vector-table lookups that missed (each followed by a fresh sphere
-    /// BFS + vector build).
-    pub fn vector_misses(&self) -> u64 {
-        self.vector_misses.load(Ordering::Relaxed)
-    }
 }
 
 impl Default for SharedCache {
@@ -476,25 +438,13 @@ impl std::fmt::Debug for SharedCache {
             .field("vector_entries", &self.vectors_len())
             .field("bytes", &self.bytes())
             .field("evictions", &self.evictions())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
             .finish()
     }
 }
 
 impl SimilarityCache for SharedCache {
     fn lookup(&self, key: PairKey) -> Option<f64> {
-        let found = self.pairs.get(&key);
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.pairs.get(&key)
     }
 
     fn store(&self, key: PairKey, value: f64) {
@@ -506,17 +456,7 @@ impl SimilarityCache for SharedCache {
     }
 
     fn lookup_vector(&self, key: VectorKey) -> Option<Arc<SparseVector>> {
-        let found = self.vectors.get(&key);
-        match found {
-            Some(v) => {
-                self.vector_hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.vector_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.vectors.get(&key)
     }
 
     fn store_vector(&self, key: VectorKey, value: Arc<SparseVector>) {
@@ -529,15 +469,13 @@ impl SimilarityCache for SharedCache {
     }
 }
 
-/// A per-worker view of the [`SharedCache`] that additionally tallies this
-/// worker's own hits and misses.
+/// A per-worker view of the [`SharedCache`] that tallies this worker's
+/// own hits and misses.
 ///
-/// The shared cache's global counters are cumulative across *every* run
-/// that ever touched the cache, so two concurrent [`crate::BatchEngine`]
-/// runs sharing an engine would skew each other's before/after deltas.
-/// Each worker instead scores through its own `TallyCache`; the engine
-/// sums the tallies, giving exact per-run hit/miss counts no matter how
-/// many runs share the underlying table.
+/// Counting per view rather than in the shared table keeps the hot read
+/// path free of shared atomic writes and gives exact per-run counts: each
+/// worker scores through its own `TallyCache` and the engine sums the
+/// tallies, however many runs share the underlying table.
 #[derive(Debug)]
 pub struct TallyCache {
     shared: Arc<SharedCache>,
@@ -664,13 +602,12 @@ mod tests {
             sn.by_key("star.performer").unwrap(),
         );
         let key = pair_key(a, b);
-        let cache = SharedCache::new();
+        let cache = TallyCache::new(Arc::new(SharedCache::new()));
         assert_eq!(cache.lookup(key), None);
         cache.store(key, 0.5);
         assert_eq!(cache.lookup(key), Some(0.5));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -678,18 +615,22 @@ mod tests {
         // Two measures over one cache: the second sees the first's work.
         let sn = mini_wordnet();
         let cache = Arc::new(SharedCache::new());
-        let m1 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), Arc::clone(&cache));
-        let m2 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), Arc::clone(&cache));
+        let view = || TallyCache::new(Arc::clone(&cache));
+        let m1 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), view());
+        let m2 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), view());
         let (a, b) = (
             sn.by_key("kelly.grace").unwrap(),
             sn.by_key("stewart.james").unwrap(),
         );
         let v1 = m1.similarity(sn, a, b);
-        let misses_after_first = cache.misses();
         let v2 = m2.similarity(sn, b, a); // symmetric key
         assert_eq!(v1, v2);
-        assert_eq!(cache.misses(), misses_after_first, "second lookup must hit");
-        assert!(cache.hits() >= 1);
+        assert_eq!((m1.cache().hits(), m1.cache().misses()), (0, 1));
+        assert_eq!(
+            (m2.cache().hits(), m2.cache().misses()),
+            (1, 0),
+            "second lookup must hit"
+        );
     }
 
     #[test]
@@ -700,23 +641,27 @@ mod tests {
             .iter()
             .map(|k| sn.by_key(k).unwrap())
             .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let keys = &keys;
-                scope.spawn(move || {
-                    let sim = CombinedSimilarity::with_cache(SimilarityWeights::equal(), cache);
-                    for &a in keys {
-                        for &b in keys {
-                            sim.similarity(sn, a, b);
+        let hits: u64 = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let tally = TallyCache::new(Arc::clone(&cache));
+                    let keys = &keys;
+                    scope.spawn(move || {
+                        let sim = CombinedSimilarity::with_cache(SimilarityWeights::equal(), tally);
+                        for &a in keys {
+                            for &b in keys {
+                                sim.similarity(sn, a, b);
+                            }
                         }
-                    }
-                });
-            }
+                        sim.cache().hits()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
         });
         // 4 distinct concepts -> 10 unordered pairs (incl. identity).
         assert_eq!(cache.len(), 10);
-        assert!(cache.hits() > 0);
+        assert!(hits > 0);
     }
 
     #[test]
@@ -737,7 +682,7 @@ mod tests {
         let second = TallyCache::new(Arc::clone(&shared));
         assert_eq!(second.lookup(key), Some(0.5));
         assert_eq!((second.hits(), second.misses()), (1, 0));
-        assert_eq!((shared.hits(), shared.misses()), (2, 1));
+        assert_eq!((first.hits(), first.misses()), (1, 1));
         assert_eq!(second.len(), 1);
     }
 
@@ -746,7 +691,7 @@ mod tests {
         let sn = mini_wordnet();
         let c = sn.by_key("cast.actors").unwrap();
         let key: VectorKey = (c, 2, semnet::graph::RelationFilter::All.fingerprint());
-        let cache = SharedCache::new();
+        let cache = TallyCache::new(Arc::new(SharedCache::new()));
         assert!(cache.lookup_vector(key).is_none());
         let mut v = SparseVector::new();
         v.add("cast", 1.0);
@@ -774,7 +719,7 @@ mod tests {
         let second = TallyCache::new(Arc::clone(&shared));
         assert!(second.lookup_vector(key).is_some());
         assert_eq!((second.vector_hits(), second.vector_misses()), (1, 0));
-        assert_eq!((shared.vector_hits(), shared.vector_misses()), (2, 1));
+        assert_eq!((first.vector_hits(), first.vector_misses()), (1, 1));
         assert_eq!(second.vectors_len(), 1);
     }
 

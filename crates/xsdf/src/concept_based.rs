@@ -13,15 +13,102 @@
 //! `Sim` is the combined measure of Definition 9. Compound target labels use
 //! the averaged pair similarity of Equation 10.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use semnet::{ConceptId, SemanticNetwork};
 use semsim::{CombinedSimilarity, SimilarityCache, SparseVector};
 use xmltree::{NodeId, XmlTree};
 
+use crate::pipeline::SenseChoice;
 use crate::senses::{disambiguation_candidates, SenseCandidates};
 use crate::sphere::{
     xml_context_vector, xml_context_vector_weighted, xml_sphere, xml_sphere_weighted,
 };
 use xmltree::distance::DistancePolicy;
+
+/// A per-document memo of sense-pair similarities in front of a
+/// [`CombinedSimilarity`].
+///
+/// Definition 8 maxes every candidate sense over every sense of every
+/// context node, so one document asks for the same `(candidate, context
+/// sense)` pair many times. The first sight of a pair calls
+/// [`CombinedSimilarity::similarity`] — and so its cache, possibly shared
+/// across workers — and every later sight reads this memo. A memo value is
+/// the `f64` that call returned, so scores are bit-identical to asking the
+/// measure every time. The measure's weights are fixed, so the key is the
+/// normalized concept pair alone. Create one per document (the pipeline
+/// does, per [`Xsdf::disambiguate_selected_guarded`] call) and drop it
+/// with the document: it is not bounded and never evicts.
+///
+/// [`Xsdf::disambiguate_selected_guarded`]: crate::Xsdf::disambiguate_selected_guarded
+pub(crate) struct SensePairMemo<'a, C: SimilarityCache> {
+    sn: &'a SemanticNetwork,
+    sim: &'a CombinedSimilarity<C>,
+    pairs: RefCell<HashMap<u64, f64, BuildHasherDefault<PairHasher>>>,
+}
+
+impl<'a, C: SimilarityCache> SensePairMemo<'a, C> {
+    /// An empty memo over `sim`.
+    pub(crate) fn new(sn: &'a SemanticNetwork, sim: &'a CombinedSimilarity<C>) -> Self {
+        Self {
+            sn,
+            sim,
+            pairs: RefCell::default(),
+        }
+    }
+
+    /// The measure behind the memo.
+    pub(crate) fn measure(&self) -> &'a CombinedSimilarity<C> {
+        self.sim
+    }
+
+    /// `Sim(a, b)`, computed through the measure on the pair's first sight
+    /// and read from the memo afterwards.
+    fn similarity(&self, a: ConceptId, b: ConceptId) -> f64 {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let key = (u64::from(lo.0) << 32) | u64::from(hi.0);
+        *self
+            .pairs
+            .borrow_mut()
+            .entry(key)
+            .or_insert_with(|| self.sim.similarity(self.sn, a, b))
+    }
+
+    /// Similarity of a target choice to context sense `s`: `Sim(s_p, s)`
+    /// for a single sense, Equation 10's `(Sim(s_p, s) + Sim(s_q, s)) / 2`
+    /// for a compound pair.
+    fn choice_similarity(&self, choice: SenseChoice, s: ConceptId) -> f64 {
+        match choice {
+            SenseChoice::Single(c) => self.similarity(c, s),
+            SenseChoice::Pair(a, b) => (self.similarity(a, s) + self.similarity(b, s)) / 2.0,
+        }
+    }
+}
+
+/// Hasher for [`SensePairMemo`]'s packed `u64` pair keys: one
+/// multiply-xorshift round (the splitmix64 finalizer's core), so both
+/// concept ids reach the low bits the table indexes by.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x ^ (x >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// Pre-resolved context information for one target node, reused across all
 /// of its candidate senses.
@@ -163,26 +250,18 @@ impl ConceptContext {
         senses
     }
 
-    fn max_sim_with<C: SimilarityCache>(
-        &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        entry: &ContextEntry,
-        score_of: &dyn Fn(&SemanticNetwork, &CombinedSimilarity<C>, ConceptId) -> f64,
-    ) -> f64 {
-        // Max over the context node's senses of Sim(candidate, s_j^i).
+    /// Max over the context node's senses of `score_of(s_j^i)`, with a
+    /// compound context label averaging its two tokens' best scores.
+    fn max_sim_with(entry: &ContextEntry, score_of: &dyn Fn(ConceptId) -> f64) -> f64 {
         let best_first = entry
             .senses
             .iter()
-            .map(|&s| score_of(sn, sim, s))
+            .map(|&s| score_of(s))
             .fold(0.0f64, f64::max);
         match &entry.second_senses {
             None => best_first,
             Some(second) => {
-                let best_second = second
-                    .iter()
-                    .map(|&s| score_of(sn, sim, s))
-                    .fold(0.0f64, f64::max);
+                let best_second = second.iter().map(|&s| score_of(s)).fold(0.0f64, f64::max);
                 // Compound context label: average the two tokens' best
                 // similarities (mirror of Equation 10 applied to context).
                 if entry.senses.is_empty() {
@@ -196,23 +275,16 @@ impl ConceptContext {
         }
     }
 
-    /// `Concept_Score(s_p, S_d(x), S̄N)` of Definition 8.
+    /// `Concept_Score(s_p, S_d(x), S̄N)` of Definition 8, scored through a
+    /// sense-pair memo of its own (the pipeline shares one memo across a
+    /// whole document).
     pub fn score_single<C: SimilarityCache>(
         &self,
         sn: &SemanticNetwork,
         sim: &CombinedSimilarity<C>,
         candidate: ConceptId,
     ) -> f64 {
-        let total: f64 = self
-            .entries
-            .iter()
-            .map(|e| {
-                let best =
-                    self.max_sim_with(sn, sim, e, &|sn, sim, s| sim.similarity(sn, candidate, s));
-                best * e.weight
-            })
-            .sum();
-        (total / self.cardinality as f64).clamp(0.0, 1.0)
+        self.score_memo(&SensePairMemo::new(sn, sim), SenseChoice::Single(candidate))
     }
 
     /// `Concept_Score((s_p, s_q), S_d(x), S̄N)` of Equation 10 — the
@@ -225,43 +297,57 @@ impl ConceptContext {
         first: ConceptId,
         second: ConceptId,
     ) -> f64 {
+        self.score_memo(
+            &SensePairMemo::new(sn, sim),
+            SenseChoice::Pair(first, second),
+        )
+    }
+
+    /// The Definition 8 score of a single sense, or the Equation 10 score
+    /// of a compound pair, with every sense-pair similarity read through
+    /// `memo`.
+    pub(crate) fn score_memo<C: SimilarityCache>(
+        &self,
+        memo: &SensePairMemo<'_, C>,
+        choice: SenseChoice,
+    ) -> f64 {
+        let score_of = |s| memo.choice_similarity(choice, s);
         let total: f64 = self
             .entries
             .iter()
-            .map(|e| {
-                let best = self.max_sim_with(sn, sim, e, &|sn, sim, s| {
-                    (sim.similarity(sn, first, s) + sim.similarity(sn, second, s)) / 2.0
-                });
-                best * e.weight
-            })
+            .map(|e| Self::max_sim_with(e, &score_of) * e.weight)
             .sum();
         (total / self.cardinality as f64).clamp(0.0, 1.0)
     }
 
-    /// Shared core of the bounded scorers. After each entry the running
-    /// upper bound `min(1, (partial + suffix[i + 1]) / |S_d(x)|)` on the
-    /// final concept score is offered to `abandon`; a `true` return stops
-    /// the candidate with `None`. The bound is never offered after the
+    /// [`ConceptContext::score_memo`] with branch-and-bound abandonment
+    /// ([`crate::prune`] level (a)): returns `None` if `abandon` accepted
+    /// a running upper bound, the exact score otherwise.
+    ///
+    /// After each entry the running upper bound
+    /// `min(1, (partial + suffix[i + 1]) / |S_d(x)|)` on the final concept
+    /// score is offered to `abandon`. The bound is never offered after the
     /// last entry (at that point the score is already fully computed, so
     /// abandoning would save nothing and miscount pruning work).
     ///
-    /// Survivors are **bit-identical** to the unbounded scorers: the
+    /// Survivors are **bit-identical** to the unbounded scorer: the
     /// running `total += best · w_i` accumulates in the same left-to-right
-    /// order as `Iterator::sum` (a fold from 0.0), and the final
-    /// `clamp(total / |S_d(x)|)` is the same expression.
-    fn score_bounded_with<C: SimilarityCache>(
+    /// order as `Iterator::sum`, and the final `clamp(total / |S_d(x)|)` is
+    /// the same expression. Only an empty context differs, in the sign of
+    /// its zero (`Iterator::sum` starts from -0.0); Equation 13 adds a
+    /// +0.0 context term to it, so the combined score is the same.
+    pub(crate) fn score_bounded<C: SimilarityCache>(
         &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        score_of: &dyn Fn(&SemanticNetwork, &CombinedSimilarity<C>, ConceptId) -> f64,
+        memo: &SensePairMemo<'_, C>,
+        choice: SenseChoice,
         suffix: &[f64],
         abandon: &mut dyn FnMut(f64) -> bool,
     ) -> Option<f64> {
         debug_assert_eq!(suffix.len(), self.entries.len() + 1);
+        let score_of = |s| memo.choice_similarity(choice, s);
         let mut total = 0.0f64;
         for (i, e) in self.entries.iter().enumerate() {
-            let best = self.max_sim_with(sn, sim, e, score_of);
-            total += best * e.weight;
+            total += Self::max_sim_with(e, &score_of) * e.weight;
             if i + 1 < self.entries.len() {
                 let bound = ((total + suffix[i + 1]) / self.cardinality as f64).min(1.0);
                 if abandon(bound) {
@@ -271,47 +357,6 @@ impl ConceptContext {
         }
         Some((total / self.cardinality as f64).clamp(0.0, 1.0))
     }
-
-    /// [`ConceptContext::score_single`] with branch-and-bound abandonment
-    /// ([`crate::prune`] level (a)): returns `None` if `abandon` accepted
-    /// a running upper bound, the exact Definition 8 score otherwise.
-    pub fn score_single_bounded<C: SimilarityCache>(
-        &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        candidate: ConceptId,
-        suffix: &[f64],
-        abandon: &mut dyn FnMut(f64) -> bool,
-    ) -> Option<f64> {
-        self.score_bounded_with(
-            sn,
-            sim,
-            &|sn, sim, s| sim.similarity(sn, candidate, s),
-            suffix,
-            abandon,
-        )
-    }
-
-    /// [`ConceptContext::score_pair`] with branch-and-bound abandonment —
-    /// the Equation 10 compound-target analogue of
-    /// [`ConceptContext::score_single_bounded`].
-    pub fn score_pair_bounded<C: SimilarityCache>(
-        &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        first: ConceptId,
-        second: ConceptId,
-        suffix: &[f64],
-        abandon: &mut dyn FnMut(f64) -> bool,
-    ) -> Option<f64> {
-        self.score_bounded_with(
-            sn,
-            sim,
-            &|sn, sim, s| (sim.similarity(sn, first, s) + sim.similarity(sn, second, s)) / 2.0,
-            suffix,
-            abandon,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -319,6 +364,7 @@ mod tests {
     use super::*;
     use crate::senses::LingTokenizer;
     use semnet::mini_wordnet;
+    use semsim::SimilarityWeights;
     use xmltree::tree::TreeBuilder;
 
     fn tree(xml: &str) -> XmlTree {
@@ -464,7 +510,12 @@ mod tests {
         for key in ["cast.actors", "cast.mold", "cast.throw"] {
             let plain = ctx.score_single(sn, &sim, id(key));
             let bounded = ctx
-                .score_single_bounded(sn, &sim, id(key), &suffix, &mut |_| false)
+                .score_bounded(
+                    &SensePairMemo::new(sn, &sim),
+                    SenseChoice::Single(id(key)),
+                    &suffix,
+                    &mut |_| false,
+                )
                 .unwrap();
             // Bit-identical, not just approximately equal: the pruned
             // path must reuse the exact summation of the unpruned one.
@@ -482,11 +533,9 @@ mod tests {
         let suffix = ctx.suffix_weight_sums();
         let plain = ctx.score_pair(sn, &sim, id("star.performer"), id("film.movie"));
         let bounded = ctx
-            .score_pair_bounded(
-                sn,
-                &sim,
-                id("star.performer"),
-                id("film.movie"),
+            .score_bounded(
+                &SensePairMemo::new(sn, &sim),
+                SenseChoice::Pair(id("star.performer"), id("film.movie")),
                 &suffix,
                 &mut |_| false,
             )
@@ -509,7 +558,9 @@ mod tests {
         // Every running bound offered to the closure must dominate the
         // final score (soundness of the branch-and-bound invariant).
         let mut bounds = Vec::new();
-        let result = ctx.score_single_bounded(sn, &sim, candidate, &suffix, &mut |b| {
+        let memo = SensePairMemo::new(sn, &sim);
+        let choice = SenseChoice::Single(candidate);
+        let result = ctx.score_bounded(&memo, choice, &suffix, &mut |b| {
             bounds.push(b);
             false
         });
@@ -521,12 +572,60 @@ mod tests {
         }
         // An always-abandon closure stops on the first bound.
         let mut calls = 0;
-        let pruned = ctx.score_single_bounded(sn, &sim, candidate, &suffix, &mut |_| {
+        let pruned = ctx.score_bounded(&memo, choice, &suffix, &mut |_| {
             calls += 1;
             true
         });
         assert_eq!(pruned, None);
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn memo_asks_the_measure_once_per_distinct_pair() {
+        /// Records the keys of the lookups that reach the measure's cache.
+        #[derive(Default)]
+        struct Counting {
+            inner: semsim::LocalCache,
+            looked_up: RefCell<Vec<semsim::PairKey>>,
+        }
+        impl SimilarityCache for Counting {
+            fn lookup(&self, key: semsim::PairKey) -> Option<f64> {
+                self.looked_up.borrow_mut().push(key);
+                self.inner.lookup(key)
+            }
+            fn store(&self, key: semsim::PairKey, value: f64) {
+                self.inner.store(key, value)
+            }
+            fn len(&self) -> usize {
+                self.inner.len()
+            }
+        }
+        let t = tree(
+            "<films><picture><cast><star>Stewart</star><star>Kelly</star></cast><star_picture/></picture></films>",
+        );
+        let sn = mini_wordnet();
+        let cast = find(&t, "cast");
+        let ctx = ConceptContext::build(sn, &t, cast, 2);
+        let sim = CombinedSimilarity::with_cache(SimilarityWeights::equal(), Counting::default());
+        let memo = SensePairMemo::new(sn, &sim);
+        let fresh = CombinedSimilarity::default();
+        let choices = [
+            SenseChoice::Single(id("cast.actors")),
+            SenseChoice::Single(id("cast.mold")),
+            SenseChoice::Pair(id("star.performer"), id("film.movie")),
+            SenseChoice::Single(id("cast.actors")),
+        ];
+        for choice in choices {
+            let plain = match choice {
+                SenseChoice::Single(c) => ctx.score_single(sn, &fresh, c),
+                SenseChoice::Pair(a, b) => ctx.score_pair(sn, &fresh, a, b),
+            };
+            assert_eq!(ctx.score_memo(&memo, choice).to_bits(), plain.to_bits());
+        }
+        let keys = sim.cache().looked_up.take();
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert!(!keys.is_empty());
+        assert_eq!(keys.len(), distinct.len(), "a pair reached the cache twice");
     }
 
     #[test]

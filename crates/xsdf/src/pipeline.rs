@@ -8,7 +8,7 @@ use xmltree::tree::{ContentMode, TreeBuilder};
 use xmltree::{NodeId, ParseError, SemanticTree, XmlTree};
 
 use crate::ambiguity::{select_targets, NodeAmbiguity};
-use crate::concept_based::ConceptContext;
+use crate::concept_based::{ConceptContext, SensePairMemo};
 use crate::config::XsdfConfig;
 use crate::context_based::ContextVectorScorer;
 use crate::guard::{Guard, GuardError};
@@ -225,6 +225,10 @@ impl<'sn> Xsdf<'sn> {
     /// [`Guard`]), so a runaway document returns a partial-result error
     /// instead of stalling its worker. The partial work is discarded —
     /// callers get `Err`, never a half-annotated tree.
+    ///
+    /// All concept scoring of the call reads sense-pair similarities
+    /// through one per-call memo, so each distinct pair reaches `sim` (and
+    /// its cache) once per call, however often Definition 8 revisits it.
     pub fn disambiguate_selected_guarded<C: SimilarityCache>(
         &self,
         tree: &XmlTree,
@@ -235,6 +239,7 @@ impl<'sn> Xsdf<'sn> {
         let cfg = &self.config;
         let (w_concept, w_context) = cfg.process.weights();
 
+        let memo = SensePairMemo::new(self.sn, sim);
         let mut semantic_tree = SemanticTree::new(tree.clone());
         let mut reports = Vec::with_capacity(tree.len());
 
@@ -257,7 +262,7 @@ impl<'sn> Xsdf<'sn> {
                     tree,
                     node,
                     &candidates,
-                    sim,
+                    &memo,
                     w_concept,
                     w_context,
                     guard,
@@ -311,7 +316,7 @@ impl<'sn> Xsdf<'sn> {
         tree: &XmlTree,
         node: NodeId,
         candidates: &SenseCandidates,
-        sim: &CombinedSimilarity<C>,
+        memo: &SensePairMemo<'_, C>,
         w_concept: f64,
         w_context: f64,
         guard: &Guard,
@@ -386,40 +391,27 @@ impl<'sn> Xsdf<'sn> {
                 .collect()
         };
 
-        // Combined Equation 13 scorers. The context score is computed
+        // The combined Equation 13 scorer. The context score is computed
         // first (it is a single whole-vector comparison — nothing to
         // abandon incrementally), then the concept score entry by entry
         // under the running bound. `None` means the candidate was
         // abandoned: its true score provably cannot strictly beat
         // `leader`. Survivor arithmetic is identical to the unpruned path.
-        let score_single = |s: ConceptId, leader: Option<f64>| -> Option<f64> {
-            let x = context_scorer
-                .as_ref()
-                .map_or(0.0, |cs| cs.score_single_cached(self.sn, s, sim.cache()));
+        let evaluate = |choice: SenseChoice, leader: Option<f64>| -> Option<f64> {
+            let x = context_scorer.as_ref().map_or(0.0, |cs| match choice {
+                SenseChoice::Single(s) => {
+                    cs.score_single_cached(self.sn, s, memo.measure().cache())
+                }
+                SenseChoice::Pair(a, b) => cs.score_pair(self.sn, a, b),
+            });
             let c = match (concept_ctx.as_ref(), suffix.as_deref()) {
                 (Some(ctx), Some(sfx)) => {
                     let mut abandon = |ub: f64| {
                         leader.is_some_and(|l| w_concept * ub + w_context * x + slack <= l)
                     };
-                    ctx.score_single_bounded(self.sn, sim, s, sfx, &mut abandon)?
+                    ctx.score_bounded(memo, choice, sfx, &mut abandon)?
                 }
-                (Some(ctx), None) => ctx.score_single(self.sn, sim, s),
-                (None, _) => 0.0,
-            };
-            Some(w_concept * c + w_context * x)
-        };
-        let score_pair = |a: ConceptId, b: ConceptId, leader: Option<f64>| -> Option<f64> {
-            let x = context_scorer
-                .as_ref()
-                .map_or(0.0, |cs| cs.score_pair(self.sn, a, b));
-            let c = match (concept_ctx.as_ref(), suffix.as_deref()) {
-                (Some(ctx), Some(sfx)) => {
-                    let mut abandon = |ub: f64| {
-                        leader.is_some_and(|l| w_concept * ub + w_context * x + slack <= l)
-                    };
-                    ctx.score_pair_bounded(self.sn, sim, a, b, sfx, &mut abandon)?
-                }
-                (Some(ctx), None) => ctx.score_pair(self.sn, sim, a, b),
+                (Some(ctx), None) => ctx.score_memo(memo, choice),
                 (None, _) => 0.0,
             };
             Some(w_concept * c + w_context * x)
@@ -450,10 +442,11 @@ impl<'sn> Xsdf<'sn> {
                     }
                 }
                 guard.tick_sense_pair()?;
-                match score_single(s, best.map(|(_, b)| b)) {
+                let choice = SenseChoice::Single(s);
+                match evaluate(choice, best.map(|(_, b)| b)) {
                     Some(score) => {
                         if best.is_none_or(|(_, b)| score > b) {
-                            best = Some((SenseChoice::Single(s), score));
+                            best = Some((choice, score));
                         }
                     }
                     None => guard.note_pruned(1),
@@ -506,10 +499,11 @@ impl<'sn> Xsdf<'sn> {
                         // A compound pair evaluates both token senses
                         // against the context: two budget units.
                         guard.tick_sense_pairs(2)?;
-                        match score_pair(a, b, best.map(|(_, bst)| bst)) {
+                        let choice = SenseChoice::Pair(a, b);
+                        match evaluate(choice, best.map(|(_, bst)| bst)) {
                             Some(score) => {
                                 if best.is_none_or(|(_, bst)| score > bst) {
-                                    best = Some((SenseChoice::Pair(a, b), score));
+                                    best = Some((choice, score));
                                 }
                             }
                             None => guard.note_pruned(1),
